@@ -32,6 +32,26 @@ inline bool canonical_chunked_from_env() {
   return raw != nullptr && *raw != '\0' && *raw != '0';
 }
 
+/// Elements per chunk when accumulating into clones of `prototype`.
+/// RSMPI_LOCAL_GRAIN is a lower bound: for partitionable states it is
+/// raised to the state's size in 8-byte words, so each chunk's identity
+/// clone and merge combine are amortized by at least as many accum calls
+/// (a 2^16-bucket Counts gets 65536-element chunks).  Depends only on
+/// the env and the prototype's configuration — never on the pool width —
+/// so chunk boundaries, and with them the chunked fold's bits, stay
+/// width-independent.  Operators without a partitionable state keep the
+/// plain env grain.
+template <typename Op>
+[[nodiscard]] std::size_t chunk_grain(const Op& prototype) {
+  const std::size_t grain = grain_from_env();
+  if constexpr (rs::PartitionableState<Op>) {
+    const std::size_t words = (rs::part_state_bytes(prototype) + 7) / 8;
+    return std::max(grain, words);
+  } else {
+    return grain;
+  }
+}
+
 /// Accumulates `n` indexed elements into `op`, ending exactly as if the
 /// serial protocol
 ///
@@ -39,10 +59,11 @@ inline bool canonical_chunked_from_env() {
 ///
 /// had run on the rank thread.  `get(i)` produces element i (by value or
 /// reference) and must be safe to call concurrently for distinct i; with
-/// the pool active it runs on worker threads.  `prototype` supplies
-/// identity clones for the per-chunk states and is snapshotted before
-/// pre_accum can fire — callers may pass `op` itself when it is still in
-/// identity state (every rs:: entry point does).
+/// the pool active it runs on worker threads.  `prototype` sets the chunk
+/// grain (chunk_grain), supplies identity clones for the per-chunk states
+/// and is snapshotted before pre_accum can fire — callers may pass `op`
+/// itself when it is still in identity state (every rs:: entry point
+/// does).
 ///
 /// `fire_pre` / `fire_post` let callers that feed one logical input as
 /// several batches (svc::Stream::fold) fire the boundary hooks on the
@@ -50,9 +71,10 @@ inline bool canonical_chunked_from_env() {
 ///
 /// Serial fallback — bit-identical to the pre-pool loop — whenever the
 /// pool is one thread wide (the RSMPI_LOCAL_THREADS default) or the
-/// extent does not exceed one grain.  Parallel sections are charged to
-/// the virtual clock as summed worker CPU over min(cores_per_rank,
-/// pool width) model cores, and counted via Comm::note_parallel_section.
+/// extent does not exceed one chunk_grain(prototype).  Parallel sections
+/// are charged to the virtual clock as summed worker CPU over
+/// min(cores_per_rank, pool width) model cores, and counted via
+/// Comm::note_parallel_section.
 template <typename Op, typename Get>
 void accumulate_indexed(mprt::Comm& comm, Op& op, const Op& prototype,
                         std::size_t n, Get&& get, bool fire_pre = true,
@@ -60,7 +82,7 @@ void accumulate_indexed(mprt::Comm& comm, Op& op, const Op& prototype,
   using In = std::decay_t<decltype(get(std::size_t{0}))>;
   if (n == 0) return;
   WorkerPool& pool = WorkerPool::current();
-  const std::size_t grain = grain_from_env();
+  const std::size_t grain = chunk_grain(prototype);
   const std::size_t nchunks = chunk_count(n, grain);
   // nchunks <= 1 stays serial at every pool width (one chunk folds the
   // same either way), so the single-chunk case is width-independent too.

@@ -20,8 +20,10 @@ namespace rsmpi::par {
 
 /// Elements per chunk when RSMPI_LOCAL_GRAIN is unset.  Large enough
 /// that per-chunk costs (one deque pop, one operator clone + combine in
-/// the reduction layers) are noise against 4096 accum calls; small
-/// enough to load-balance skewed bodies.
+/// the reduction layers) are noise against 4096 accum calls for states
+/// of up to 4096 words; small enough to load-balance skewed bodies.
+/// Larger partitionable states raise it further in the reduction layers
+/// (par::chunk_grain, accumulate.hpp) so the clone stays amortized.
 inline constexpr std::size_t kDefaultGrain = 4096;
 
 /// RSMPI_LOCAL_GRAIN: elements per chunk for parallel local sections.

@@ -13,6 +13,13 @@
 // floating-point results depend on which worker happened to run which
 // chunk.
 //
+// One clone plus one combine per chunk is the price of that
+// determinism, so the caller sizes chunks against the state:
+// par::chunk_grain (accumulate.hpp) never lets a chunk of a partitionable
+// state hold fewer elements than the state has words, bounding clone and
+// merge work by the accumulate work.  Non-partitionable heavy states
+// (HyperLogLog, Bloom) still pay one clone per env-grain chunk.
+//
 // Storage is one vector ("lane") per worker, so workers never touch each
 // other's lanes and no locking is needed while accumulating; the caller
 // reads the lanes only after the pool's completion barrier.
@@ -33,7 +40,8 @@ class Reducible {
   /// `prototype` must stay alive (and unmodified) for the Reducible's
   /// lifetime and must be in identity state — it is copied once per
   /// chunk, which is why operator prototypes must be cheap to clone
-  /// (docs/operators.md).  `chunk_hint` pre-sizes the lanes.
+  /// (docs/operators.md) and why chunks are sized by par::chunk_grain.
+  /// `chunk_hint` pre-sizes the lanes.
   Reducible(const Op& prototype, unsigned workers, std::size_t chunk_hint = 0)
       : prototype_(&prototype), lanes_(workers == 0 ? 1 : workers) {
     if (chunk_hint != 0) {

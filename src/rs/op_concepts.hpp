@@ -27,11 +27,14 @@
 //
 // Prototypes must be cheap to clone.  The parallel local accumulate
 // (src/par/, docs/parallel_local.md) copies the prototype once per input
-// chunk — ceil(extent / RSMPI_LOCAL_GRAIN) clones per call when the
-// worker pool is enabled — so an identity copy should cost O(state
-// size), allocate sparingly, and never touch shared resources.  Every
-// operator in src/rs/ops/ satisfies this; an operator whose identity
-// copy is expensive should raise the grain or stay on the serial path
+// chunk — ceil(extent / par::chunk_grain(prototype)) clones per call
+// when the worker pool is enabled (or RSMPI_LOCAL_CHUNKED=1) — so an
+// identity copy should cost O(state size), allocate sparingly, and
+// never touch shared resources.  For PartitionableState operators the
+// chunk grain is at least the state's size in 8-byte words, so the
+// clones and their merge combines are amortized by the accum work
+// whatever the state size.  Other heavy states (HyperLogLog, Bloom) get
+// RSMPI_LOCAL_GRAIN unchanged: raise it, or stay on the serial path
 // (the pool is opt-in per process via RSMPI_LOCAL_THREADS).
 #pragma once
 

@@ -6,7 +6,9 @@
 // (commutative and noncommutative), at every pool width and grain,
 // independent of the stealing schedule.  The suite checks that claim
 // across worker counts {1, 2, 3, 8} x grains {1, 64, extent+1} (the last
-// forces the serial fallback), plus the boundary-hook exactly-once
+// forces the serial fallback; partitionable states wider than the grain
+// raise it to their word count, which a 4096-bucket Counts witness and
+// an exact chunk-count pin exercise), plus the boundary-hook exactly-once
 // contract, empty/single-element edges, raw do_all coverage, forced
 // stealing, exception propagation, and the RunResult counter plumbing.
 //
@@ -20,6 +22,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
@@ -135,6 +138,18 @@ TEST(ParDeterminism, CountsBitIdenticalAcrossThreadsAndGrains) {
   check_zoo_op("Counts(8)", ops::Counts(8), input);
 }
 
+TEST(ParDeterminism, HeavyCountsBitIdenticalAcrossThreadsAndGrains) {
+  // A 4096-bucket state is far wider than grains 1 and 64, so
+  // par::chunk_grain lifts both to 4096 elements per chunk; the input
+  // spans five such chunks plus a ragged tail.
+  std::vector<int> input;
+  std::uint64_t s = 15;
+  for (int i = 0; i < 5 * 4096 + 123; ++i) {
+    input.push_back(static_cast<int>(splitmix(s) % 4096));
+  }
+  check_zoo_op("Counts(4096)", ops::Counts(4096), input);
+}
+
 TEST(ParDeterminism, ConcatNoncommutativeBitIdentical) {
   std::vector<char> input;
   std::uint64_t s = 4;
@@ -207,38 +222,49 @@ TEST(ParDeterminism, TsqrCanonicalChunkedAcrossWidths) {
   // ascending chunk order — not the plain serial accum loop.  That fold
   // is a function of (extent, grain) only: every pool width >= 2 must
   // reproduce its bits exactly, and width 1 joins them under
-  // RSMPI_LOCAL_CHUNKED=1 (ISSUE 9).
-  constexpr std::size_t kCols = 4;
-  constexpr std::size_t kGrain = 64;
-  std::vector<std::vector<double>> rows;
-  std::uint64_t s = 14;
-  for (int i = 0; i < 1000; ++i) {
-    std::vector<double> row(kCols);
-    for (auto& v : row) {
-      v = static_cast<double>(splitmix(s) % 4001) / 16.0 - 125.0;
+  // RSMPI_LOCAL_CHUNKED=1.  The second shape has 36 words of state
+  // (TSQR(8)), so RSMPI_LOCAL_GRAIN=8 is floored to 36-row chunks by
+  // par::chunk_grain at every width.
+  struct Shape {
+    std::size_t cols;
+    std::size_t env_grain;
+    std::size_t chunk_rows;
+  };
+  for (const Shape shape : {Shape{4, 64, 64}, Shape{8, 8, 36}}) {
+    std::vector<std::vector<double>> rows;
+    std::uint64_t s = 14;
+    for (int i = 0; i < 1000; ++i) {
+      std::vector<double> row(shape.cols);
+      for (auto& v : row) {
+        v = static_cast<double>(splitmix(s) % 4001) / 16.0 - 125.0;
+      }
+      rows.push_back(std::move(row));
     }
-    rows.push_back(std::move(row));
-  }
 
-  ops::TSQR oracle(kCols);
-  for (std::size_t lo = 0; lo < rows.size(); lo += kGrain) {
-    ops::TSQR chunk(kCols);
-    for (std::size_t i = lo; i < std::min(rows.size(), lo + kGrain); ++i) {
-      chunk.accum(rows[i]);
+    ops::TSQR oracle(shape.cols);
+    for (std::size_t lo = 0; lo < rows.size(); lo += shape.chunk_rows) {
+      ops::TSQR chunk(shape.cols);
+      for (std::size_t i = lo; i < std::min(rows.size(), lo + shape.chunk_rows);
+           ++i) {
+        chunk.accum(rows[i]);
+      }
+      oracle.combine(chunk);
     }
-    oracle.combine(chunk);
-  }
-  const auto expected = save_op(oracle);
+    const auto expected = save_op(oracle);
 
-  EnvGuard cg("RSMPI_LOCAL_CHUNKED", "1");
-  EnvGuard gg("RSMPI_LOCAL_GRAIN", std::to_string(kGrain));
-  for (const int threads : kThreadSweep) {
-    EnvGuard tg("RSMPI_LOCAL_THREADS", std::to_string(threads));
-    mprt::run(1, [&](mprt::Comm& comm) {
-      const ops::TSQR got = rs::reduce_state(
-          comm, std::span<const std::vector<double>>(rows), ops::TSQR(kCols));
-      EXPECT_EQ(save_op(got), expected) << "threads=" << threads;
-    });
+    EnvGuard cg("RSMPI_LOCAL_CHUNKED", "1");
+    EnvGuard gg("RSMPI_LOCAL_GRAIN", std::to_string(shape.env_grain));
+    EXPECT_EQ(par::chunk_grain(ops::TSQR(shape.cols)), shape.chunk_rows);
+    for (const int threads : kThreadSweep) {
+      EnvGuard tg("RSMPI_LOCAL_THREADS", std::to_string(threads));
+      mprt::run(1, [&](mprt::Comm& comm) {
+        const ops::TSQR got = rs::reduce_state(
+            comm, std::span<const std::vector<double>>(rows),
+            ops::TSQR(shape.cols));
+        EXPECT_EQ(save_op(got), expected)
+            << "cols=" << shape.cols << " threads=" << threads;
+      });
+    }
   }
 }
 
@@ -474,6 +500,36 @@ TEST(ParAccumulate, CountersSurfaceThroughRunResult) {
   EXPECT_EQ(result.user_stats.at("par.chunks"), 64.0);
   EXPECT_EQ(result.user_stats.at("par.threads"), 4.0);
   EXPECT_TRUE(result.user_stats.count("par.steals") == 1);
+}
+
+TEST(ParAccumulate, ChunkGrainFloorsAtStateWords) {
+  // RSMPI_LOCAL_GRAIN is a lower bound: partitionable states raise it to
+  // their size in 8-byte words, everything else keeps it as is.
+  EnvGuard gg("RSMPI_LOCAL_GRAIN", "64");
+  EXPECT_EQ(par::chunk_grain(ops::Counts(4096)), 4096u);
+  EXPECT_EQ(par::chunk_grain(ops::Counts(8)), 64u);
+  EXPECT_EQ(par::chunk_grain(ops::Sum<long>{}), 64u);
+  EXPECT_EQ(par::chunk_grain(ops::HyperLogLog<std::uint64_t>(10)), 64u);
+}
+
+TEST(ParAccumulate, HeavyStateClonesOncePerStateSizedChunk) {
+  // The clone bound as an exact count: one identity clone (one executed
+  // chunk) per chunk_grain(op) elements, not per RSMPI_LOCAL_GRAIN.
+  EnvGuard tg("RSMPI_LOCAL_THREADS", "4");
+  EnvGuard gg("RSMPI_LOCAL_GRAIN", "64");
+  const ops::Counts prototype(4096);
+  std::vector<int> input;
+  std::uint64_t s = 17;
+  for (int i = 0; i < 5 * 4096 + 123; ++i) {
+    input.push_back(static_cast<int>(splitmix(s) % 4096));
+  }
+  const auto result = mprt::run(1, [&](mprt::Comm& comm) {
+    (void)rs::reduce(comm, std::span<const int>(input), ops::Counts(prototype));
+  });
+  EXPECT_EQ(result.local_sections, 1u);
+  EXPECT_EQ(result.local_chunks,
+            par::chunk_count(input.size(), par::chunk_grain(prototype)));
+  EXPECT_EQ(result.local_chunks, 6u);
 }
 
 TEST(ParAccumulate, SerialFallbackBelowGrainRunsNoSection) {

@@ -19,7 +19,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
 #include <limits>
 #include <span>
 #include <string>
@@ -27,7 +26,9 @@
 
 #include "mprt/runtime.hpp"
 #include "mprt/sim.hpp"
+#include "par/accumulate.hpp"
 #include "par/do_all.hpp"
+#include "par/pool.hpp"
 #include "rs/async.hpp"
 #include "rs/ops/tsqr.hpp"
 #include "rs/reduce.hpp"
@@ -82,21 +83,24 @@ ops::TSQR binomial_oracle(int p, std::size_t rows_per_rank, std::size_t cols) {
 /// the serial fold at pool width 1 (or a single chunk), the canonical
 /// chunked fold otherwise — mirroring par::accumulate_indexed so the
 /// end-to-end tests stay bitwise-pinned when CI forces a wide pool
-/// (RSMPI_LOCAL_THREADS=4, small grain) onto this suite.
+/// (RSMPI_LOCAL_THREADS=4, small grain) onto this suite.  The chunk grain
+/// and the width / RSMPI_LOCAL_CHUNKED decisions come from the library's
+/// own helpers, so the oracle cannot drift from production chunking.
 ops::TSQR ambient_local_state(int rank, std::size_t rows_per_rank,
                               std::size_t cols) {
-  const char* raw = std::getenv("RSMPI_LOCAL_THREADS");
-  const int width = raw != nullptr && *raw != '\0' ? std::atoi(raw) : 1;
-  const std::size_t grain = par::grain_from_env();
+  const ops::TSQR prototype(cols);
+  const std::size_t grain = par::chunk_grain(prototype);
   const std::size_t nchunks = par::chunk_count(rows_per_rank, grain);
-  if (nchunks <= 1 || width <= 1) {
+  const bool chunked = par::WorkerPool::threads_from_env() > 1 ||
+                       par::canonical_chunked_from_env();
+  if (nchunks <= 1 || !chunked) {
     return local_state(rank, rows_per_rank, cols);
   }
-  ops::TSQR op(cols);
+  ops::TSQR op(prototype);
   for (std::size_t chunk = 0; chunk < nchunks; ++chunk) {
     const std::size_t lo = chunk * grain;
     const std::size_t hi = std::min(rows_per_rank, lo + grain);
-    ops::TSQR state(cols);
+    ops::TSQR state(prototype);
     for (std::size_t i = lo; i < hi; ++i) state.accum(make_row(rank, i, cols));
     op.combine(state);
   }
