@@ -62,8 +62,9 @@ struct RecvDeadline {
 struct RankState {
   VirtualClock clock;
   /// Next send sequence number; stamped on every outgoing message.  One
-  /// counter per rank is enough for per-stream monotonicity because a
-  /// rank's sends are sequential.
+  /// counter per rank makes seq unique per sender and monotone along every
+  /// stream, because a rank's sends are sequential; the mailbox's
+  /// per-sender duplicate watermark relies on both.
   std::uint64_t next_seq = 1;
   std::optional<RecvDeadline> recv_deadline;
   std::uint64_t recv_retry_count = 0;  ///< deadline slices that expired

@@ -464,7 +464,8 @@ inline double thread_cpu_seconds() {
 
 /// RAII guard that measures a local compute section with the per-thread CPU
 /// clock and charges it (scaled by CostModel::compute_scale) to a rank's
-/// virtual clock.
+/// virtual clock.  At compute_scale == 0 the charge is zero whatever the
+/// section costs, so the clock is never read.
 ///
 ///   {
 ///     ComputeTimer t(comm.clock(), comm.cost_model());
@@ -474,7 +475,7 @@ class ComputeTimer {
  public:
   ComputeTimer(VirtualClock& clock, const CostModel& model)
       : clock_(clock), scale_(model.compute_scale),
-        start_(thread_cpu_seconds()) {}
+        start_(scale_ == 0.0 ? 0.0 : thread_cpu_seconds()) {}
 
   ComputeTimer(const ComputeTimer&) = delete;
   ComputeTimer& operator=(const ComputeTimer&) = delete;
@@ -485,7 +486,9 @@ class ComputeTimer {
   void stop() {
     if (!stopped_) {
       stopped_ = true;
-      clock_.advance((thread_cpu_seconds() - start_) * scale_);
+      if (scale_ != 0.0) {
+        clock_.advance((thread_cpu_seconds() - start_) * scale_);
+      }
     }
   }
 

@@ -20,6 +20,7 @@
 #include <ucontext.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -54,11 +55,12 @@ class Fiber {
  public:
   static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
 
-  Fiber(std::size_t stack_bytes, std::function<void()> body)
+  Fiber(std::size_t requested_stack_bytes, std::function<void()> body)
       : body_(std::move(body)) {
     const std::size_t page = page_size();
-    if (stack_bytes < 4 * page) stack_bytes = 4 * page;
-    stack_bytes = (stack_bytes + page - 1) / page * page;
+    // A const local, never written after getcontext (-Wclobbered).
+    const std::size_t stack_bytes =
+        (std::max(requested_stack_bytes, 4 * page) + page - 1) / page * page;
     map_bytes_ = stack_bytes + page;  // +1 guard page at the low end
     void* base = ::mmap(nullptr, map_bytes_, PROT_NONE,
                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);

@@ -31,6 +31,15 @@ bool precedes(const Message& a, std::size_t ia, const Message& b,
 void Mailbox::put(Message msg, bool front) {
   {
     std::lock_guard lock(mutex_);
+    if (msg.seq != 0) {
+      // A sender's messages are put in seq order, so one put after the
+      // sender's watermark passed its seq is a copy of a delivered message.
+      const auto it = delivered_.find({msg.context, msg.source});
+      if (it != delivered_.end() && msg.seq <= it->second) {
+        ++duplicates_suppressed_;
+        return;
+      }
+    }
     ++events_;
     if (front) {
       queue_.push_front(std::move(msg));
@@ -55,19 +64,6 @@ std::size_t Mailbox::select_locked(std::int64_t context, int source, int tag,
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const Message& m = queue_[i];
     if (!matches(m, context, source, tag)) continue;
-    // A duplicate of an already-delivered sequence number is purged on
-    // sight — at-most-once delivery — and the scan restarts because the
-    // erase shifted indices.
-    if (m.seq != 0) {
-      const auto it = delivered_.find({m.context, m.source, m.tag});
-      if (it != delivered_.end() && m.seq <= it->second) {
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-        ++duplicates_suppressed_;
-        i = npos;     // restart (loop increment wraps npos to 0)
-        best = npos;  // the erase shifted any candidate index
-        continue;
-      }
-    }
     // Non-overtaking: the message is only eligible if it is the head of
     // its stream — no other queued message of the stream precedes it.
     bool blocked = false;
@@ -100,8 +96,15 @@ Message Mailbox::remove_locked(std::size_t idx) {
   Message msg = std::move(queue_[idx]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
   if (msg.seq != 0) {
-    std::uint64_t& mark = delivered_[{msg.context, msg.source, msg.tag}];
+    std::uint64_t& mark = delivered_[{msg.context, msg.source}];
     if (msg.seq > mark) mark = msg.seq;
+    // seq is unique per sender, so a queued message with the same
+    // (context, source, seq) is a twin of this one, whatever its tag.
+    const auto twins = std::erase_if(queue_, [&](const Message& m) {
+      return m.seq == msg.seq && m.source == msg.source &&
+             m.context == msg.context;
+    });
+    duplicates_suppressed_ += twins;
   }
   return msg;
 }
@@ -281,6 +284,11 @@ std::size_t Mailbox::pending() const {
 std::uint64_t Mailbox::duplicates_suppressed() const {
   std::lock_guard lock(mutex_);
   return duplicates_suppressed_;
+}
+
+std::size_t Mailbox::watermarks() const {
+  std::lock_guard lock(mutex_);
+  return delivered_.size();
 }
 
 void Mailbox::abort() {

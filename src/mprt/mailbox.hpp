@@ -121,8 +121,21 @@ class RankWaiter {
 /// enqueue the same message twice, and the sequence numbers let every
 /// receive path — blocking take, try_take, and the due-only try_take_due
 /// the async progress engine polls with — agree on one delivery order and
-/// deliver each sequence number at most once (duplicates are counted and
-/// discarded against a per-stream watermark).
+/// deliver each sequence number at most once.
+///
+/// Duplicates are suppressed against one watermark per *sender* — the
+/// highest seq delivered from each (context, source) — so the bookkeeping
+/// is bounded by the number of senders, not by the number of tags they
+/// ever used.  This relies on the put-order invariant of Comm::deliver:
+/// a sender stamps seq from one per-rank counter and puts synchronously,
+/// and a fault-plan duplicate is put inside the same deliver call as its
+/// original, so one sender's messages enter a mailbox in seq order.  Once
+/// seq h from a sender has been delivered, any message from that sender
+/// *put afterwards* with seq <= h is therefore a duplicate and is dropped
+/// at put.  A duplicate that was already queued (a "twin") is purged when
+/// its first copy is delivered.  Genuine lower-seq messages on other tags
+/// that were queued earlier stay deliverable.  Every extra copy is counted
+/// once in duplicates_suppressed().
 class Mailbox {
  public:
   Mailbox() = default;
@@ -133,6 +146,8 @@ class Mailbox {
   /// `front` enqueues at the head instead of the tail — the fault plans'
   /// physical-reorder injection (delivery order is unaffected for
   /// sequenced messages, which is the property the harness verifies).
+  /// A sequenced message at or below its sender's delivered watermark is a
+  /// late duplicate: it is counted and dropped without waking the owner.
   void put(Message msg, bool front = false);
 
   /// Blocks until a message matching (context, source, tag) is available
@@ -160,8 +175,8 @@ class Mailbox {
                                       int tag, double arrival_cutoff);
 
   /// True when a message matching the pattern is queued (MPI_Iprobe).
-  /// Stale duplicates are purged first so probe never reports a message
-  /// take would refuse to deliver.
+  /// Duplicates never stay queued past their original's delivery, so probe
+  /// never reports a message take would refuse to deliver.
   [[nodiscard]] bool probe(std::int64_t context, int source, int tag);
 
   /// Number of queued (unmatched) messages; primarily for tests.
@@ -169,6 +184,10 @@ class Mailbox {
 
   /// Duplicate deliveries discarded by sequence-number suppression.
   [[nodiscard]] std::uint64_t duplicates_suppressed() const;
+
+  /// Number of per-sender delivered watermarks held; primarily for tests
+  /// (it is bounded by the number of distinct (context, source) senders).
+  [[nodiscard]] std::size_t watermarks() const;
 
   /// Puts the mailbox into the aborted state: all current and future
   /// blocking takes throw AbortError.  Used for fail-fast teardown when a
@@ -213,7 +232,7 @@ class Mailbox {
   /// together with the monitor so verify-mode traces replay exactly.
   void set_deterministic_wildcard(bool on) { deterministic_wildcard_ = on; }
 
-  /// Monotonic count of mailbox events (puts, aborts, peer losses).
+  /// Monotonic count of mailbox events (enqueues, aborts, peer losses).
   /// Snapshot it *before* a progress pass and hand it to idle_wait so an
   /// arrival during the pass is never slept through.
   [[nodiscard]] std::uint64_t event_count() const;
@@ -242,33 +261,31 @@ class Mailbox {
   void set_rank_waiter(RankWaiter* waiter) { waiter_ = waiter; }
 
  private:
-  /// Sender-stream identity; the unit of ordering and deduplication.
-  struct StreamKey {
+  /// Sender identity; the unit of duplicate suppression.
+  struct SenderKey {
     std::int64_t context;
     int source;
-    int tag;
-    bool operator==(const StreamKey&) const = default;
+    bool operator==(const SenderKey&) const = default;
   };
-  struct StreamKeyHash {
-    std::size_t operator()(const StreamKey& k) const {
+  struct SenderKeyHash {
+    std::size_t operator()(const SenderKey& k) const {
       std::uint64_t h = static_cast<std::uint64_t>(k.context) * 0x9E3779B97F4A7C15ULL;
-      h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.source)) << 32) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.tag));
+      h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.source));
       h *= 0xC2B2AE3D27D4EB4FULL;
       return static_cast<std::size_t>(h ^ (h >> 29));
     }
   };
 
-  /// Index of the oldest eligible message matching the pattern, after
-  /// purging already-delivered duplicates; npos when none.  With
-  /// `arrival_cutoff`, a stream whose head has not virtually arrived is
-  /// skipped entirely (non-overtaking).  Caller holds the lock.
+  /// Index of the oldest eligible message matching the pattern; npos
+  /// when none.  With `arrival_cutoff`, a stream whose head has not
+  /// virtually arrived is skipped entirely (non-overtaking).  Caller
+  /// holds the lock.
   [[nodiscard]] std::size_t select_locked(std::int64_t context, int source,
                                           int tag,
                                           const double* arrival_cutoff);
 
-  /// Removes index `idx` from the queue, advancing its stream's delivered
-  /// watermark.  Caller holds the lock.
+  /// Removes index `idx` from the queue, advancing its sender's delivered
+  /// watermark and purging any queued twin of it.  Caller holds the lock.
   Message remove_locked(std::size_t idx);
 
   /// Throws if the mailbox is aborted (always) or an in-scope peer is lost
@@ -302,8 +319,9 @@ class Mailbox {
   StarvationMonitor* monitor_ = nullptr;
   RankWaiter* waiter_ = nullptr;  // virtualized-owner park/resume endpoint
   bool deterministic_wildcard_ = false;
-  std::uint64_t events_ = 0;  // bumped on every put/abort/loss, for idle_wait
-  std::unordered_map<StreamKey, std::uint64_t, StreamKeyHash> delivered_;
+  std::uint64_t events_ = 0;  // bumped per enqueue/abort/loss, for idle_wait
+  // Highest seq delivered per sender; bounded by the number of senders.
+  std::unordered_map<SenderKey, std::uint64_t, SenderKeyHash> delivered_;
   std::uint64_t duplicates_suppressed_ = 0;
   bool aborted_ = false;
   std::vector<int> lost_peers_;  // global ranks that exited

@@ -41,12 +41,15 @@ class Message {
   int source = 0;
   int tag = 0;
   double arrival_vtime_s = 0.0;
-  /// Per-sender sequence number (strictly increasing along every
-  /// (context, source, tag) stream because a rank's sends are sequential).
-  /// The mailbox orders same-stream receives by it and suppresses
-  /// duplicates against a per-stream watermark, so physically reordered or
-  /// duplicated deliveries — injected by a fault plan, or arising from the
-  /// async engine's replay — are invisible above the mailbox.  0 means
+  /// Per-sender sequence number, stamped from one per-rank counter, so it
+  /// is unique per sender and strictly increasing along every (context,
+  /// source, tag) stream.  Comm::deliver puts a sender's messages (and any
+  /// fault-plan duplicate) synchronously, so they enter a mailbox in seq
+  /// order.  The mailbox orders same-stream receives by it and suppresses
+  /// duplicates against one watermark per (context, source): a copy put
+  /// after its seq was delivered is dropped, and a queued twin is purged
+  /// when its first copy is delivered.  Physically reordered or duplicated
+  /// deliveries are therefore invisible above the mailbox.  0 means
   /// "unsequenced" (messages built directly in tests): those keep the
   /// legacy queue-position order and bypass duplicate suppression.
   std::uint64_t seq = 0;

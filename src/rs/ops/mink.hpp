@@ -10,14 +10,45 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace rsmpi::rs::ops {
+
+namespace detail {
+
+/// Reads a serialized k-vector (the save() format of MinK and MaxK) in
+/// place and feeds its elements to `accum` in index order — the order
+/// combine() folds them in, so the result is bit-identical to load +
+/// combine.  The whole payload is validated before the first element is
+/// folded: a mismatched k, a truncated payload or trailing bytes throw
+/// ProtocolError and leave the state untouched.
+template <typename T, typename Accum>
+void fold_serialized_k(std::span<const std::byte> data, std::size_t k,
+                       const char* who, Accum&& accum) {
+  bytes::Reader r(data);
+  std::uint64_t n = 0;
+  const auto raw = r.get_counted_raw<T>(&n);
+  if (n != k) {
+    throw ProtocolError(std::string(who) + ": state arrived with mismatched k");
+  }
+  if (!r.exhausted()) {
+    throw ProtocolError(std::string(who) + ": trailing bytes after state");
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    accum(bytes::load_unaligned<T>(raw.data() + i * sizeof(T)));
+  }
+}
+
+}  // namespace detail
 
 /// k smallest values of the reduced sequence, generated in ascending
 /// order.  k is a runtime constructor parameter carried by the prototype.
@@ -67,6 +98,13 @@ class MinK {
     v_ = std::move(v);
   }
 
+  /// Zero-copy combine: folds the peer's kept values straight out of the
+  /// receive buffer (no intermediate operator, no allocation).
+  void combine_from_bytes(std::span<const std::byte> data) {
+    detail::fold_serialized_k<T>(data, v_.size(), "MinK",
+                                 [this](const T& x) { accum(x); });
+  }
+
  private:
   std::vector<T> v_;  // descending; v_[0] = largest kept value
 };
@@ -110,6 +148,12 @@ class MaxK {
       throw ProtocolError("MaxK: state arrived with mismatched k");
     }
     v_ = std::move(v);
+  }
+
+  /// Zero-copy combine; see MinK::combine_from_bytes.
+  void combine_from_bytes(std::span<const std::byte> data) {
+    detail::fold_serialized_k<T>(data, v_.size(), "MaxK",
+                                 [this](const T& x) { accum(x); });
   }
 
  private:

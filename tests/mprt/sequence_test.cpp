@@ -158,6 +158,70 @@ TEST(Sequence, LegacyUnsequencedMessagesKeepQueueOrder) {
   EXPECT_EQ(mb.duplicates_suppressed(), 0u);
 }
 
+// -- Per-sender watermark ----------------------------------------------------
+//
+// Duplicates are suppressed against one watermark per (context, source),
+// not per stream.  These cases pin what that may and may not change.
+
+TEST(Sequence, LowerSeqOnOtherTagQueuedBeforeHigherSeqTakeIsDelivered) {
+  Mailbox mb;
+  mb.put(make_msg(0, /*tag=*/1, 1));
+  mb.put(make_msg(0, /*tag=*/2, 2));
+  // Taking seq 2 raises the sender's watermark past seq 1, but seq 1 was
+  // queued before that: it is genuine, not a duplicate.
+  EXPECT_EQ(mb.take(kWorld, 0, 2).seq, 2u);
+  EXPECT_TRUE(mb.probe(kWorld, 0, 1));
+  EXPECT_EQ(mb.take(kWorld, 0, 1).seq, 1u);
+  EXPECT_EQ(mb.duplicates_suppressed(), 0u);
+  EXPECT_EQ(mb.pending(), 0u);
+}
+
+TEST(Sequence, LateDuplicateOfOldStreamSuppressedAfterManyNewerStreams) {
+  Mailbox mb;
+  mb.put(make_msg(0, /*tag=*/0, 1));
+  EXPECT_EQ(mb.take(kWorld, 0, 0).seq, 1u);
+  // 1,000 newer streams (fresh tags, as collectives use) from the sender.
+  for (int i = 1; i <= 1000; ++i) {
+    const auto seq = static_cast<std::uint64_t>(i) + 1;
+    mb.put(make_msg(0, /*tag=*/i, seq));
+    EXPECT_EQ(mb.take(kWorld, 0, i).seq, seq);
+  }
+  mb.put(make_msg(0, /*tag=*/0, 1));  // late duplicate of the first send
+  EXPECT_FALSE(mb.probe(kWorld, 0, 0));
+  EXPECT_FALSE(mb.try_take(kWorld, 0, 0).has_value());
+  EXPECT_EQ(mb.pending(), 0u);
+  EXPECT_EQ(mb.duplicates_suppressed(), 1u);
+}
+
+TEST(Sequence, QueuedTwinIsPurgedOnDeliveryAndCountedOnce) {
+  Mailbox mb;
+  mb.put(make_msg(0, 1, 1));
+  mb.put(make_msg(0, 1, 1));  // twin, queued before either is delivered
+  mb.put(make_msg(0, 2, 2));
+  EXPECT_EQ(mb.take(kWorld, 0, 1).seq, 1u);
+  // The twin went with its first copy: only the seq-2 message is left.
+  EXPECT_EQ(mb.pending(), 1u);
+  EXPECT_EQ(mb.duplicates_suppressed(), 1u);
+  EXPECT_FALSE(mb.probe(kWorld, 0, 1));
+  EXPECT_EQ(mb.take(kWorld, 0, 2).seq, 2u);
+  EXPECT_EQ(mb.pending(), 0u);
+  EXPECT_EQ(mb.duplicates_suppressed(), 1u);
+}
+
+TEST(Sequence, WatermarksAreBoundedBySenders) {
+  Mailbox mb;
+  std::vector<std::uint64_t> next_seq(3, 1);
+  for (int i = 0; i < 10'000; ++i) {
+    const int source = i % 3;
+    const std::uint64_t seq = next_seq[static_cast<std::size_t>(source)]++;
+    mb.put(make_msg(source, /*tag=*/i, seq));
+    EXPECT_EQ(mb.take(kWorld, source, i).seq, seq);
+  }
+  EXPECT_LE(mb.watermarks(), 3u);
+  EXPECT_EQ(mb.pending(), 0u);
+  EXPECT_EQ(mb.duplicates_suppressed(), 0u);
+}
+
 // The end-to-end replay the satellite names: the async progress engine
 // (which drains with try_take_due between compute chunks and a blocking
 // take at the end) under a reorder+duplicate fault plan must match the

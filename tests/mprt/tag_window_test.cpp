@@ -121,11 +121,16 @@ TEST(RecvCounters, TryRecvCountsOnlyOnSuccess) {
     if (comm.rank() == 0) {
       EXPECT_FALSE(comm.try_recv<int>(1, 3).has_value());
       EXPECT_EQ(comm.messages_received(), 0u);
+      // Release the sender only now: a send racing the empty probe above
+      // would be consumed by it, and the poll below would spin forever.
+      // (A send, unlike a barrier, leaves rank 0's receive counters alone.)
+      comm.send(1, 4, 0);
       std::optional<int> got;
       while (!got.has_value()) got = comm.try_recv<int>(1, 3);
       EXPECT_EQ(comm.messages_received(), 1u);
       EXPECT_EQ(comm.bytes_received(), sizeof(int));
     } else {
+      (void)comm.recv_message(0, 4);
       comm.send(0, 3, 9);
     }
   });

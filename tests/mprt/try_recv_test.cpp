@@ -14,6 +14,10 @@ TEST(TryRecv, ReturnsNulloptBeforeArrival) {
   mprt::run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       EXPECT_FALSE(comm.try_recv<int>(1, 5).has_value());
+      // The sender waits for the empty probe above: otherwise the probe
+      // races the send, and when it wins it consumes the message and the
+      // poll below spins forever.
+      coll::barrier(comm);
       // Synchronize so the message definitely arrived, then poll.
       coll::barrier(comm);
       std::optional<int> got;
@@ -22,6 +26,7 @@ TEST(TryRecv, ReturnsNulloptBeforeArrival) {
       }
       EXPECT_EQ(*got, 77);
     } else {
+      coll::barrier(comm);
       comm.send(0, 5, 77);
       coll::barrier(comm);
     }
@@ -54,11 +59,13 @@ TEST(TryRecv, AdvancesClockOnlyOnSuccess) {
           const double before = comm.clock().now();
           (void)comm.try_recv<int>(1, 1);  // nothing there yet
           EXPECT_DOUBLE_EQ(comm.clock().now(), before);
+          coll::barrier(comm);  // the sender sends only after the probe
           coll::barrier(comm);
           std::optional<int> got;
           while (!got.has_value()) got = comm.try_recv<int>(1, 1);
           EXPECT_GE(comm.clock().now(), 2.0);  // o_r charged on success
         } else {
+          coll::barrier(comm);
           comm.send(0, 1, 1);
           coll::barrier(comm);
         }

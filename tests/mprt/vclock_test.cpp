@@ -159,4 +159,55 @@ TEST(VClock, ComputeScaleZeroSuppressesCharging) {
   EXPECT_DOUBLE_EQ(result.makespan_s, 0.0);
 }
 
+/// Busy work long enough to register on the thread CPU clock.
+void burn_cpu() {
+  volatile double sink = 0;
+  for (int i = 0; i < 2'000'000; ++i) sink = sink + 1.0;
+}
+
+// ComputeTimer on a bare clock, no runtime: at compute_scale 0 the section
+// charges nothing (the CPU clock is not even read), whether it ends by
+// stop() or by destruction.
+TEST(ComputeTimer, ScaleZeroLeavesClockAtExactlyZero) {
+  CostModel m = CostModel::free();
+  m.compute_scale = 0.0;
+  mprt::VirtualClock clock;
+  {
+    mprt::ComputeTimer timer(clock, m);
+    burn_cpu();
+  }
+  EXPECT_EQ(clock.now(), 0.0);
+  {
+    mprt::ComputeTimer timer(clock, m);
+    burn_cpu();
+    timer.stop();
+    burn_cpu();
+  }
+  EXPECT_EQ(clock.now(), 0.0);
+}
+
+TEST(ComputeTimer, ScaleOneAdvancesClock) {
+  CostModel m = CostModel::free();
+  m.compute_scale = 1.0;
+  mprt::VirtualClock clock;
+  {
+    mprt::ComputeTimer timer(clock, m);
+    burn_cpu();
+  }
+  const double charged = clock.now();
+  EXPECT_GT(charged, 0.0);
+  EXPECT_LT(charged, 10.0);  // sanity: thread CPU seconds, not garbage
+  // stop() charges once; the destructor after it adds nothing.
+  double after_stop = 0.0;
+  {
+    mprt::ComputeTimer timer(clock, m);
+    burn_cpu();
+    timer.stop();
+    after_stop = clock.now();
+    burn_cpu();
+  }
+  EXPECT_GT(after_stop, charged);
+  EXPECT_EQ(clock.now(), after_stop);
+}
+
 }  // namespace

@@ -158,6 +158,84 @@ TEST(SerializationFuzz, MinK) {
                 });
 }
 
+TEST(SerializationFuzz, MaxK) {
+  ops::MaxK<int> filled(5);
+  for (int i = 0; i < 40; ++i) filled.accum((i * 37) % 101);
+  fuzz_operator("MaxK", ops::MaxK<int>(5), filled,
+                [](const ops::MaxK<int>& a, const ops::MaxK<int>& b) {
+                  return a.gen() == b.gen();
+                });
+}
+
+// -- k-vector combine_from_bytes hooks ----------------------------------------
+//
+// MinK and MaxK fold a peer's state straight out of the receive buffer.
+// The hook must match load + combine bit for bit, reject every strict
+// prefix of the wire (k is fixed, so a short buffer is never a valid
+// state) and a state of the wrong k, and leave the receiver untouched when
+// it rejects.
+
+template <typename Op>
+void fuzz_k_hook(const char* name, std::size_t k) {
+  static_assert(rs::HasCombineFromBytes<Op>);
+  SimRng rng(mprt::splitmix64(0x3A1C0000ull ^ k));
+  const auto filled_with = [&](int n) {
+    Op op(k);
+    for (int i = 0; i < n; ++i) {
+      op.accum(static_cast<int>(rng.below(1000)) - 500);
+    }
+    return op;
+  };
+
+  // Bit-identical to the load + combine fallback, on partly filled and
+  // full states alike.
+  for (int trial = 0; trial < 64; ++trial) {
+    const Op mine = filled_with(static_cast<int>(rng.below(3 * k)));
+    const Op peer = filled_with(static_cast<int>(rng.below(3 * k)));
+    const std::vector<std::byte> wire = rs::save_op(peer);
+    Op via_hook(mine);
+    via_hook.combine_from_bytes(wire);
+    Op via_load(mine);
+    via_load.combine(rs::load_op(Op(k), wire));
+    EXPECT_EQ(via_hook.gen(), via_load.gen()) << name << " trial " << trial;
+  }
+
+  const Op mine = filled_with(static_cast<int>(2 * k));
+  const std::vector<std::byte> wire = rs::save_op(filled_with(3));
+  const auto rejected_untouched = [&](std::span<const std::byte> data) {
+    Op victim(mine);
+    try {
+      victim.combine_from_bytes(data);
+    } catch (const ProtocolError&) {
+      return victim.gen() == mine.gen();
+    }
+    return false;
+  };
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_TRUE(rejected_untouched({wire.data(), len}))
+        << name << ": combine_from_bytes accepted " << len << " of "
+        << wire.size() << " bytes";
+  }
+  std::vector<std::byte> extended = wire;
+  extended.push_back(std::byte{0x5A});
+  EXPECT_TRUE(rejected_untouched(extended))
+      << name << ": combine_from_bytes accepted trailing bytes";
+  for (const std::size_t other_k : {k - 1, k + 1}) {
+    EXPECT_TRUE(rejected_untouched(rs::save_op(Op(other_k))))
+        << name << ": combine_from_bytes accepted k=" << other_k;
+    EXPECT_TRUE(load_rejected(Op(k), rs::save_op(Op(other_k))))
+        << name << ": load accepted k=" << other_k;
+  }
+}
+
+TEST(SerializationFuzz, MinKCombineFromBytesHook) {
+  fuzz_k_hook<ops::MinK<int>>("MinK", 5);
+}
+
+TEST(SerializationFuzz, MaxKCombineFromBytesHook) {
+  fuzz_k_hook<ops::MaxK<int>>("MaxK", 5);
+}
+
 TEST(SerializationFuzz, TopBottomK) {
   ops::TopBottomK<double> filled(4);
   for (int i = 0; i < 32; ++i) {
