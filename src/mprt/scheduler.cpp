@@ -4,7 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -29,11 +29,11 @@ struct VirtualScheduler::Impl {
     int rank = -1;
     std::unique_ptr<Fiber> fiber;
     std::atomic<int> gate{kGateIdle};
-    /// Bumped (under `mu`) every time the fiber is taken off the ready
-    /// queue; a timer whose recorded generation no longer matches belongs
-    /// to an earlier, already-woken park and is discarded unfired.
-    std::uint64_t timer_gen = 0;
-    bool want_park = false;  // set by the fiber just before suspending
+    /// Bumped every time a worker takes the fiber off a ready queue; a
+    /// timer whose recorded generation no longer matches belongs to an
+    /// earlier, already-woken park and is discarded unfired.
+    std::atomic<std::uint64_t> timer_gen{0};
+    /// Set by the fiber just before suspending; read by its worker.
     const Clock::time_point* park_deadline = nullptr;
     FiberSlot slot;
   };
@@ -52,6 +52,34 @@ struct VirtualScheduler::Impl {
     }
   };
 
+  /// One worker's FIFO ready queue: a ring sized for every fiber (a fiber
+  /// is in at most one queue), so a push never allocates.  `size` is
+  /// written only under `mu`; thieves and the idle handshake read it to
+  /// skip an empty queue without taking its lock.
+  struct alignas(64) Worker {
+    std::mutex mu;
+    std::vector<VFiber*> ring;
+    std::size_t head = 0;
+    std::atomic<std::size_t> size{0};
+
+    void push(VFiber* f) {
+      std::lock_guard lk(mu);
+      const std::size_t n = size.load(std::memory_order_relaxed);
+      ring[(head + n) % ring.size()] = f;
+      size.store(n + 1);
+    }
+    VFiber* pop() {
+      if (size.load() == 0) return nullptr;
+      std::lock_guard lk(mu);
+      const std::size_t n = size.load(std::memory_order_relaxed);
+      if (n == 0) return nullptr;
+      VFiber* f = ring[head];
+      head = (head + 1) % ring.size();
+      size.store(n - 1);
+      return f;
+    }
+  };
+
   struct Timer {
     Clock::time_point due;
     VFiber* f = nullptr;
@@ -62,26 +90,37 @@ struct VirtualScheduler::Impl {
       return a.due > b.due;
     }
   };
+  static constexpr Clock::rep kNoTimer = std::numeric_limits<Clock::rep>::max();
 
   int nworkers = 1;
   std::size_t stack_bytes = Fiber::kDefaultStackBytes;
   std::vector<std::unique_ptr<VFiber>> fibers;
   std::vector<Waiter> waiters;
+  std::vector<Worker> queues;  // one per running worker thread
+
+  /// Fibers queued or running (see header).  It and the two park counters
+  /// beside it are written on every park or wake, so they share a cache
+  /// line of their own, away from the read-mostly fields every wake and
+  /// every worker loop iteration load.
+  alignas(64) std::atomic<int> runnable{0};
+  /// Fibers whose park CAS succeeded, less those a gate-exchange winner
+  /// has since requeued; off by at most the wakes in flight.
+  std::atomic<int> parked_now{0};
+  std::atomic<std::uint64_t> park_count{0};
+  alignas(64) std::atomic<int> live{0};  // fibers whose body has not finished
+  std::atomic<int> idle{0};  // workers in idle_wait, asleep or about to
+  std::atomic<int> peak_parked{0};
+  std::atomic<bool> deadlocked{false};
+  /// Due time of the earliest timer, kNoTimer when the heap is empty; lets
+  /// a busy worker skip the mutex (and the clock read) when no timer is due.
+  std::atomic<Clock::rep> next_due{kNoTimer};
 
   std::mutex mu;
-  std::condition_variable cv;  // workers sleep here when nothing is ready
-  std::deque<VFiber*> ready;
-  std::vector<Timer> timers;  // min-heap by `due` via std::*_heap
-  int live = 0;               // fibers whose body has not finished
-  int running = 0;            // fibers currently on a worker
-  int parked_now = 0;         // fibers whose park CAS completed
-  int peak_parked = 0;
-  std::atomic<bool> deadlocked{false};
-  std::atomic<std::uint64_t> park_count{0};
+  std::condition_variable cv;  // idle workers sleep here
+  std::vector<Timer> timers;   // min-heap by `due` via std::*_heap
 
   void park(VFiber* f, std::unique_lock<std::mutex>& owner_lock,
             const Clock::time_point* deadline) {
-    f->want_park = true;
     f->park_deadline = deadline;
     owner_lock.unlock();
     f->fiber->suspend();
@@ -93,130 +132,192 @@ struct VirtualScheduler::Impl {
   }
 
   void wake(VFiber* f) {
-    const int prev = f->gate.exchange(kGateNotified);
-    if (prev == kGateParked) {
-      // Exactly one waker can observe kParked (exchange is atomic), so the
-      // requeue is single-entry.
-      {
-        std::lock_guard lk(mu);
-        --parked_now;
-        ready.push_back(f);
-      }
+    // Exactly one waker can observe kGateParked (exchange is atomic), so
+    // the requeue is single-entry.
+    if (f->gate.exchange(kGateNotified) != kGateParked) return;
+    const bool on_worker = t_impl == this;
+    make_runnable(f, on_worker ? t_worker : 0);
+    if (idle.load() > 0) {
+      std::lock_guard lk(mu);
       cv.notify_one();
     }
   }
 
-  /// Wakes every live fiber after setting the sticky deadlocked flag; the
-  /// resumed fibers' mailbox wait loops throw DeadlockError.  Caller holds
-  /// `mu`.
-  void declare_deadlock_locked() {
+  /// `f` was fully parked and the caller won the gate exchange that unparks
+  /// it: count it runnable, then publish it on queue `w`.
+  void make_runnable(VFiber* f, int w) {
+    parked_now.fetch_sub(1, std::memory_order_relaxed);
+    runnable.fetch_add(1);
+    queues[static_cast<std::size_t>(w)].push(f);
+  }
+
+  /// Own queue first, then the oldest fiber of each sibling in turn.
+  VFiber* take(int self) {
+    const std::size_t n = queues.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (VFiber* f = queues[(static_cast<std::size_t>(self) + i) % n].pop()) {
+        return f;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Moves every due timer's fiber, if still parked on that timer, onto
+  /// queue `self`.  Caller holds `mu`.
+  void fire_due_timers_locked(int self) {
+    if (timers.empty()) return;
+    const auto now = Clock::now();
+    while (!timers.empty() && timers.front().due <= now) {
+      std::pop_heap(timers.begin(), timers.end(), TimerLater{});
+      const Timer t = timers.back();
+      timers.pop_back();
+      if (t.gen != t.f->timer_gen.load()) continue;  // stale: already woken
+      if (t.f->gate.exchange(kGateNotified) == kGateParked) {
+        make_runnable(t.f, self);
+      }
+    }
+    publish_next_due_locked();
+  }
+
+  void publish_next_due_locked() {
+    next_due.store(timers.empty() ? kNoTimer
+                                  : timers.front().due.time_since_epoch().count(),
+                   std::memory_order_relaxed);
+  }
+
+  /// True if some timer can still wake its fiber.  Caller holds `mu`.
+  [[nodiscard]] bool timer_pending_locked() const {
+    for (const Timer& t : timers) {
+      if (t.gen == t.f->timer_gen.load()) return true;
+    }
+    return false;
+  }
+
+  /// Wakes every parked fiber after setting the sticky deadlocked flag; the
+  /// resumed fibers' mailbox wait loops throw DeadlockError.  A finished
+  /// fiber's gate is never kGateParked, so the gate alone selects.  Caller
+  /// holds `mu`.
+  void declare_deadlock_locked(int self) {
     deadlocked.store(true, std::memory_order_release);
     for (auto& up : fibers) {
       VFiber* f = up.get();
-      if (f->fiber == nullptr || f->fiber->finished()) continue;
-      const int prev = f->gate.exchange(kGateNotified);
-      if (prev == kGateParked) {
-        --parked_now;
-        ready.push_back(f);
-      }
+      if (f->gate.exchange(kGateNotified) == kGateParked) make_runnable(f, self);
     }
     cv.notify_all();
   }
 
-  void worker_main() {
+  /// Called when worker `self` found every queue empty.  Returns a fiber to
+  /// run, or nullptr once every fiber has finished.
+  VFiber* idle_wait(int self) {
     std::unique_lock lock(mu);
     for (;;) {
-      if (!timers.empty()) {
-        const auto now = Clock::now();
-        while (!timers.empty() && timers.front().due <= now) {
-          std::pop_heap(timers.begin(), timers.end(), TimerLater{});
-          const Timer t = timers.back();
-          timers.pop_back();
-          if (t.gen != t.f->timer_gen) continue;  // stale: already woken
-          // wake(), inlined because `mu` is already held.
-          const int prev = t.f->gate.exchange(kGateNotified);
-          if (prev == kGateParked) {
-            --parked_now;
-            ready.push_back(t.f);
-          }
-        }
+      fire_due_timers_locked(self);
+      idle.fetch_add(1);
+      // The last look, after announcing: a waker that missed our idle
+      // count published its fiber before this scan can miss it.
+      if (VFiber* f = take(self)) {
+        idle.fetch_sub(1);
+        return f;
       }
-      if (ready.empty()) {
-        if (live == 0) {
-          cv.notify_all();  // release siblings blocked in cv.wait
-          return;
-        }
-        bool timers_alive = false;
-        for (const Timer& t : timers) {
-          timers_alive = timers_alive || (t.gen == t.f->timer_gen);
-        }
-        if (running == 0 && !timers_alive) {
-          // Nothing runs, nothing is ready, no timed park is pending, yet
-          // fibers are alive: every one of them is fully parked and only
-          // fibers send — no wake can ever arrive.  Exact deadlock.
-          declare_deadlock_locked();
-          continue;
-        }
-        if (timers.empty()) {
-          cv.wait(lock);
-        } else {
-          cv.wait_until(lock, timers.front().due);
-        }
+      if (live.load() == 0) {
+        idle.fetch_sub(1);
+        cv.notify_all();  // release siblings asleep in cv.wait
+        return nullptr;
+      }
+      if (runnable.load() == 0 && !timer_pending_locked()) {
+        // Live fibers, none queued or running, no waker in flight and no
+        // timer to fire: every one is fully parked and nothing can ever
+        // wake one.  Exact deadlock.
+        idle.fetch_sub(1);
+        declare_deadlock_locked(self);
         continue;
       }
-
-      VFiber* f = ready.front();
-      ready.pop_front();
-      ++running;
-      ++f->timer_gen;
-      lock.unlock();
-
-      t_current_fiber = f;
-      f->fiber->resume();
-      t_current_fiber = nullptr;
-
-      lock.lock();
-      --running;
-      if (f->fiber->finished()) {
-        --live;
-        if (live == 0) cv.notify_all();
-        continue;
-      }
-      if (!f->want_park) {
-        ready.push_back(f);  // cooperative yield (no caller today)
-        continue;
-      }
-      f->want_park = false;
-      const Clock::time_point* deadline = f->park_deadline;
-      f->park_deadline = nullptr;
-      int expected = kGateIdle;
-      if (f->gate.compare_exchange_strong(expected, kGateParked)) {
-        ++parked_now;
-        if (parked_now > peak_parked) peak_parked = parked_now;
-        park_count.fetch_add(1, std::memory_order_relaxed);
-        if (deadline != nullptr) {
-          // The deadline points into the suspended fiber's stack frame —
-          // alive until the fiber resumes, which requires this timer (or a
-          // wake) to fire first.
-          timers.push_back({*deadline, f, f->timer_gen});
-          std::push_heap(timers.begin(), timers.end(), TimerLater{});
-          cv.notify_all();  // sleepers may hold a stale (later) wait deadline
-        }
+      if (timers.empty()) {
+        cv.wait(lock);
       } else {
-        // A wake landed while the fiber was switching out: it is runnable
-        // again right now.
-        f->gate.store(kGateIdle);
-        ready.push_back(f);
-        cv.notify_one();
+        // By value: wait_until reads its deadline again after relocking,
+        // when a push may have reallocated the heap.
+        const Clock::time_point due = timers.front().due;
+        cv.wait_until(lock, due);
       }
+      idle.fetch_sub(1);
     }
   }
 
+  void run_fiber(VFiber* f, int self) {
+    f->timer_gen.fetch_add(1);
+    t_current_fiber = f;
+    f->fiber->resume();
+    t_current_fiber = nullptr;
+
+    if (f->fiber->finished()) {
+      runnable.fetch_sub(1);
+      live.fetch_sub(1);  // the worker that takes it to 0 wakes the rest
+      return;             // from idle_wait, which it reaches next
+    }
+    // Not finished, so the fiber parked: park() is its only way to suspend.
+    // Copy the deadline now — it points into the fiber's stack frame, which
+    // stays put only until a wake can resume the fiber, i.e. until the CAS.
+    const Clock::time_point* deadline = f->park_deadline;
+    f->park_deadline = nullptr;
+    const Timer timer{deadline != nullptr ? *deadline : Clock::time_point{}, f,
+                      f->timer_gen.load()};
+    int expected = kGateIdle;
+    if (!f->gate.compare_exchange_strong(expected, kGateParked)) {
+      // A wake landed while the fiber was switching out: it is runnable
+      // again right now, stays counted, and rejoins this worker's queue.
+      f->gate.store(kGateIdle);
+      queues[static_cast<std::size_t>(self)].push(f);
+      return;
+    }
+    park_count.fetch_add(1, std::memory_order_relaxed);
+    if (deadline != nullptr) {
+      // Armed before the fiber leaves `runnable`, so a deadlock check that
+      // sees the count drop also sees the timer.
+      std::lock_guard lk(mu);
+      timers.push_back(timer);
+      std::push_heap(timers.begin(), timers.end(), TimerLater{});
+      publish_next_due_locked();
+      cv.notify_all();  // sleepers may hold a stale (later) wait deadline
+    }
+    runnable.fetch_sub(1);
+    const int parked = parked_now.fetch_add(1, std::memory_order_relaxed) + 1;
+    int peak = peak_parked.load(std::memory_order_relaxed);
+    while (parked > peak && !peak_parked.compare_exchange_weak(
+                                peak, parked, std::memory_order_relaxed)) {
+    }
+  }
+
+  void worker_main(int self) {
+    t_impl = this;
+    t_worker = self;
+    for (;;) {
+      // A busy worker may never reach idle_wait, so it fires due timers
+      // itself; the relaxed load keeps this off the path when none exist.
+      const Clock::rep due = next_due.load(std::memory_order_relaxed);
+      if (due != kNoTimer && due <= Clock::now().time_since_epoch().count()) {
+        std::lock_guard lk(mu);
+        fire_due_timers_locked(self);
+      }
+      VFiber* f = take(self);
+      if (f == nullptr) f = idle_wait(self);
+      if (f == nullptr) break;
+      run_fiber(f, self);
+    }
+    t_impl = nullptr;
+    t_worker = -1;
+  }
+
   static thread_local VFiber* t_current_fiber;
+  static thread_local const Impl* t_impl;  // scheduler this worker serves
+  static thread_local int t_worker;        // its queue index
 };
 
 thread_local VirtualScheduler::Impl::VFiber*
     VirtualScheduler::Impl::t_current_fiber = nullptr;
+thread_local const VirtualScheduler::Impl* VirtualScheduler::Impl::t_impl =
+    nullptr;
+thread_local int VirtualScheduler::Impl::t_worker = -1;
 
 FiberSlot* current_fiber_slot() {
   auto* f = VirtualScheduler::Impl::t_current_fiber;
@@ -269,22 +370,21 @@ RankWaiter& VirtualScheduler::waiter(int rank) {
 
 void VirtualScheduler::run(const std::function<void(int)>& rank_body) {
   Impl& s = *impl_;
-  {
-    std::lock_guard lk(s.mu);
-    for (auto& up : s.fibers) {
-      Impl::VFiber* f = up.get();
-      f->fiber = std::make_unique<Fiber>(
-          s.stack_bytes, [f, &rank_body] { rank_body(f->rank); });
-      s.ready.push_back(f);
-    }
-    s.live = static_cast<int>(s.fibers.size());
+  const int n = std::min(s.nworkers, static_cast<int>(s.fibers.size()));
+  s.queues = std::vector<Impl::Worker>(static_cast<std::size_t>(n));
+  for (Impl::Worker& q : s.queues) q.ring.resize(s.fibers.size());
+  for (auto& up : s.fibers) {
+    Impl::VFiber* f = up.get();
+    f->fiber = std::make_unique<Fiber>(
+        s.stack_bytes, [f, &rank_body] { rank_body(f->rank); });
+    s.queues[static_cast<std::size_t>(f->rank % n)].push(f);
   }
-  const int n =
-      std::min(s.nworkers, static_cast<int>(s.fibers.size()));
+  s.live.store(static_cast<int>(s.fibers.size()));
+  s.runnable.store(static_cast<int>(s.fibers.size()));
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(n));
   for (int w = 0; w < n; ++w) {
-    workers.emplace_back([&s] { s.worker_main(); });
+    workers.emplace_back([&s, w] { s.worker_main(w); });
   }
   for (auto& t : workers) t.join();
 }
@@ -294,8 +394,7 @@ std::uint64_t VirtualScheduler::park_events() const {
 }
 
 int VirtualScheduler::peak_parked() const {
-  std::lock_guard lk(impl_->mu);
-  return impl_->peak_parked;
+  return impl_->peak_parked.load(std::memory_order_relaxed);
 }
 
 bool VirtualScheduler::deadlock_declared() const {

@@ -1,18 +1,34 @@
-// Virtual-rank scheduler (ISSUE 10): multiplexes many rank fibers onto a
-// small pool of OS worker threads.
+// Virtual-rank scheduler: multiplexes many rank fibers onto a small pool
+// of OS worker threads.
 //
-// Execution model.  Each virtual rank is a Fiber (mprt/fiber.hpp) that a
-// worker resumes off a shared FIFO ready queue.  A rank runs until its
-// blocking mailbox wait finds nothing deliverable, at which point the
-// mailbox's RankWaiter hook parks the fiber: the worker gets it back via
-// swapcontext and picks up the next ready rank.  A sender's Mailbox::put
-// wakes the parked receiver through the same hook, requeueing its fiber —
-// possibly onto a different worker; fibers migrate freely.
+// Execution model.  Each virtual rank is a Fiber (mprt/fiber.hpp).  A rank
+// runs until its blocking mailbox wait finds nothing deliverable, at which
+// point the mailbox's RankWaiter hook parks the fiber: it switches back to
+// its worker, which picks up the next ready rank.  A sender's Mailbox::put
+// wakes the parked receiver through the same hook, making its fiber ready
+// again — possibly on a different worker; fibers migrate freely.  A park
+// and a wake are each a function call plus a few atomics and one
+// uncontended queue lock: no syscall and no global lock on the fast path.
+//
+// Ready queues.  Each worker owns a FIFO ready queue under its own small
+// lock.  wake() pushes the woken fiber onto the *waking* worker's queue
+// (the fiber that sent the message is about to park or finish, so its
+// worker is the one most likely to be free next).  A worker takes the
+// front of its own queue first; when that is empty it steals the front —
+// the oldest ready fiber — of a sibling's queue, scanning siblings in
+// index order from its own.  Only when every queue is empty does it take
+// the scheduler mutex to sleep.  A waker signals a sleeper only when the
+// idle count is nonzero: the waker publishes the fiber (a seq_cst queue
+// size store) before it loads the idle count, and a worker going to sleep
+// increments the idle count (seq_cst) before its last look at the queues,
+// so either the waker sees the sleeper or the sleeper sees the fiber.  The
+// scheduler mutex guards only idle sleep, the RecvDeadline timer heap and
+// deadlock declaration.
 //
 // The park/wake race is resolved by a three-state gate per fiber
 // (idle / notified / parked):
 //   * wake():   prev = gate.exchange(notified); if prev == parked, requeue.
-//   * scheduler, after the fiber switches out: CAS(idle -> parked); on
+//   * the worker, after the fiber switches out: CAS(idle -> parked); on
 //     failure a wake landed mid-switch — reset to idle and requeue at once.
 //   * the fiber, on resume: gate.store(idle), then re-check its predicate
 //     under the mailbox lock.
@@ -20,15 +36,21 @@
 // abort, peer loss) under the mailbox lock *before* calling wake(), and a
 // woken fiber always re-checks the predicate after resetting the gate.
 //
-// Deadlock detection is exact, not timing-based: under the scheduler mutex
-// every live fiber is in exactly one of three states — running (counted),
-// in the ready queue, or fully parked (the running-count decrement and the
-// park CAS happen under one mutex hold).  If live > 0, nothing is running,
-// nothing is ready and no timed park is pending, then no rank can ever be
-// woken (only rank fibers send; the caller's thread is joined on the pool;
-// the par/ worker pools never touch mailboxes) — the scheduler sets a
-// sticky deadlocked flag and wakes every parked fiber, whose mailbox wait
-// loops convert it into DeadlockError.
+// Deadlock detection is exact, not timing-based, and needs no global lock
+// on the fast path.  An atomic `runnable` counts fibers that are queued or
+// running.  A fiber leaves the count only when it finishes or when its
+// park CAS succeeds (a timed park pushes its timer first).  A woken fiber
+// re-enters the count *before* it is pushed, and the waker is a running
+// fiber — itself counted until it parks or finishes, which it can do only
+// after wake() returns — or a worker firing a timer or declaring deadlock
+// under the mutex.  So the count never reads zero while any fiber is
+// runnable or about to be made runnable.  An idle worker holding the mutex
+// that sees live > 0, runnable == 0, every queue empty and no live timer
+// therefore knows every live fiber is fully parked and nothing can wake one
+// (only rank fibers send; the caller's thread is joined on the pool; the
+// par/ worker pools never touch mailboxes).  It sets a sticky deadlocked
+// flag and wakes every parked fiber, whose mailbox wait loops convert it
+// into DeadlockError.  There is no timeout or confirmation window.
 #pragma once
 
 #include <chrono>
@@ -59,7 +81,7 @@ struct FiberSlot {
 /// rank thread (threaded execution, or code outside any run).
 [[nodiscard]] FiberSlot* current_fiber_slot();
 
-/// Worker pool + ready queue + park gates for one virtualized run.  Not
+/// Worker pool + ready queues + park gates for one virtualized run.  Not
 /// reusable: construct, install waiters, run(), read counters, destroy.
 class VirtualScheduler {
  public:

@@ -100,12 +100,16 @@ TEST(ButterflyEquivalence, ScalarFoldOps) {
         for (int i = 0; i < 24; ++i) op.accum(r * 31 + i);
       },
       gen_eq<ops::Sum<long>>);
+  // Unsigned: up to 16 ranks x 8 factors in {1,2,3} overflow a long, and
+  // only unsigned wraparound keeps the product defined.
   allreduce_both(
-      ops::Product<long>{},
-      [](ops::Product<long>& op, int r) {
-        for (int i = 0; i < 8; ++i) op.accum(1 + (r + i) % 3);
+      ops::Product<std::uint64_t>{},
+      [](ops::Product<std::uint64_t>& op, int r) {
+        for (int i = 0; i < 8; ++i) {
+          op.accum(static_cast<std::uint64_t>(1 + (r + i) % 3));
+        }
       },
-      gen_eq<ops::Product<long>>);
+      gen_eq<ops::Product<std::uint64_t>>);
   allreduce_both(
       ops::Min<int>{},
       [](ops::Min<int>& op, int r) {
